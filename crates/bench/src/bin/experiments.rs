@@ -3,15 +3,13 @@
 //!
 //! ```sh
 //! experiments [--full] [--csv DIR] [--jobs N] [--threads N] [--trials N]
-//!             [--tile-threads N] [--json-out [DIR]] [all | e1 e2 … a3]
+//!             [--json-out [DIR]] [all | e1 e2 … a3]
 //! ```
 //!
 //! `--jobs` parallelises *across* experiments; `--threads` sizes the
-//! per-experiment trial pool (see `mesh_bench::runner`); `--tile-threads`
-//! runs each simulation's step pipeline tile-sharded across N worker
-//! threads (perf/chaos/reliable). `BENCH_<id>.json` is byte-identical for
-//! any `--threads` *and* any `--tile-threads`; wall-clock goes to the
-//! `BENCH_<id>.timing.json` sidecar.
+//! per-experiment trial pool (see `mesh_bench::runner`).
+//! `BENCH_<id>.json` is byte-identical for any `--threads`; wall-clock goes
+//! to the `BENCH_<id>.timing.json` sidecar.
 
 use mesh_bench::experiments;
 use mesh_bench::runner::{run_experiment, ExperimentRun, RunnerConfig};
@@ -40,7 +38,6 @@ fn main() {
     let mut json_dir: Option<PathBuf> = None;
     let mut jobs: Option<usize> = None;
     let mut threads: usize = 1;
-    let mut tile_threads: usize = 1;
     let mut trials: u64 = 1;
     let mut ids: Vec<String> = Vec::new();
 
@@ -76,13 +73,6 @@ fn main() {
                     .filter(|&t| t >= 1)
                     .unwrap_or_else(|| usage_error("--threads needs a number >= 1"))
             }
-            "--tile-threads" => {
-                tile_threads = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&t| t >= 1)
-                    .unwrap_or_else(|| usage_error("--tile-threads needs a number >= 1"))
-            }
             "--trials" => {
                 trials = args
                     .next()
@@ -107,7 +97,7 @@ fn main() {
     if ids.is_empty() {
         eprintln!(
             "usage: experiments [--full] [--csv DIR] [--jobs N] [--threads N] \
-             [--trials N] [--tile-threads N] [--json-out [DIR]] [all | e1 … a3]"
+             [--trials N] [--json-out [DIR]] [all | e1 … a3]"
         );
         std::process::exit(2);
     }
@@ -141,8 +131,7 @@ fn main() {
                 let id = &ids[i];
                 let t0 = std::time::Instant::now();
                 let outcome = std::panic::catch_unwind(|| {
-                    let exp =
-                        experiments::build_with(id, full, tile_threads).expect("validated id");
+                    let exp = experiments::build(id, full).expect("validated id");
                     run_experiment(exp, &config)
                 });
                 match outcome {

@@ -32,7 +32,7 @@ const USAGE: &str = "usage:
   mesh route     <algorithm> --lambda F --n N [--seed S] [--k K] [--json] \\
                  [--admission defer|reject-new|drop-oldest|deadline] \\
                  [--deadline TTL] [--max-deferred M] \\
-                 [--warmup S] [--window S] [--windows W] [--watchdog S] [--tile-threads T] \\
+                 [--warmup S] [--window S] [--windows W] [--watchdog S] \\
                  [--checkpoint-every N [--checkpoint-dir DIR] [--halt-at S] | --resume-from CKPT]
   mesh construct <general|dimorder|farthest> --n N --k K [--victim ALGO] [--h H] [-o FILE] [--check]
 
@@ -50,36 +50,115 @@ so `mesh route <algorithm> --resume-from CKPT` alone resumes a steady soak;
 re-passed steady flags are cross-checked against the snapshot and refused
 on disagreement.";
 
+/// What a flag's operand must be.
+#[derive(Clone, Copy, PartialEq)]
+enum Operand {
+    /// Takes no operand.
+    Switch,
+    Text,
+    U32,
+    U64,
+    F64,
+}
+
+/// The operand type of every flag the CLI knows; `None` for an unknown one.
+fn operand(flag: &str) -> Option<Operand> {
+    Some(match flag {
+        "json" | "latency" | "heatmap" | "check" => Operand::Switch,
+        "out" | "problem" | "workload" | "checkpoint-dir" | "resume-from" | "admission"
+        | "victim" => Operand::Text,
+        "n" | "h" | "k" | "max-deferred" | "windows" => Operand::U32,
+        "seed" | "cap" | "checkpoint-every" | "halt-at" | "deadline" | "warmup" | "window"
+        | "watchdog" => Operand::U64,
+        "load" | "lambda" => Operand::F64,
+        _ => return None,
+    })
+}
+
+/// The flags each subcommand accepts, space-separated.
+fn subcommand_flags(cmd: &str) -> &'static str {
+    match cmd {
+        "workload" => "n seed h load out",
+        "route" => {
+            "problem workload n seed h load k cap json latency heatmap checkpoint-every \
+             checkpoint-dir halt-at resume-from lambda admission deadline max-deferred warmup \
+             window windows watchdog"
+        }
+        "construct" => "n k victim h out check",
+        _ => usage(),
+    }
+}
+
+fn bad_input(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    usage()
+}
+
 struct Args {
     positional: Vec<String>,
     flags: HashMap<String, String>,
 }
 
+/// Parses the command line, rejecting (usage, exit 2) any flag the
+/// subcommand does not know, a missing operand, and a numeric operand that
+/// does not parse — a typo must never silently fall back to a default.
 fn parse_args() -> Args {
     let mut positional = Vec::new();
     let mut flags = HashMap::new();
-    let mut it = std::env::args().skip(1).peekable();
+    let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
-        if let Some(name) = a.strip_prefix("--") {
-            let val = match it.peek() {
-                Some(v) if !v.starts_with("--") => it.next().unwrap(),
-                _ => "true".to_string(),
-            };
-            flags.insert(name.to_string(), val);
-        } else if a == "-o" {
-            flags.insert("out".into(), it.next().unwrap_or_else(|| usage()));
+        let name = match a.strip_prefix("--") {
+            Some(name) => name.to_string(),
+            None if a == "-o" => "out".to_string(),
+            None => {
+                positional.push(a);
+                continue;
+            }
+        };
+        let Some(operand) = operand(&name) else {
+            bad_input(&format!("unknown flag --{name}"));
+        };
+        let val = if operand == Operand::Switch {
+            "true".to_string()
         } else {
-            positional.push(a);
+            match it.next() {
+                Some(v) if !v.starts_with("--") => v,
+                _ => bad_input(&format!("--{name} needs a value")),
+            }
+        };
+        let parses = match operand {
+            Operand::U32 => val.parse::<u32>().is_ok(),
+            Operand::U64 => val.parse::<u64>().is_ok(),
+            Operand::F64 => val.parse::<f64>().is_ok(),
+            Operand::Switch | Operand::Text => true,
+        };
+        if !parses {
+            bad_input(&format!("--{name} needs a number, got '{val}'"));
         }
+        flags.insert(name, val);
+    }
+    let allowed = subcommand_flags(positional.first().map_or("", String::as_str));
+    if let Some(name) = flags
+        .keys()
+        .find(|f| !allowed.split_whitespace().any(|a| a == f.as_str()))
+    {
+        bad_input(&format!(
+            "--{name} does not apply to `mesh {}`",
+            positional[0]
+        ));
     }
     Args { positional, flags }
 }
 
+// Operands were type-checked by `parse_args`, so the getters only read.
 impl Args {
     fn u32_flag(&self, name: &str) -> Option<u32> {
         self.flags.get(name).and_then(|v| v.parse().ok())
     }
     fn u64_flag(&self, name: &str) -> Option<u64> {
+        self.flags.get(name).and_then(|v| v.parse().ok())
+    }
+    fn f64_flag(&self, name: &str) -> Option<f64> {
         self.flags.get(name).and_then(|v| v.parse().ok())
     }
     fn has(&self, name: &str) -> bool {
@@ -96,11 +175,7 @@ fn make_workload(kind: &str, args: &Args) -> RoutingProblem {
     match kind {
         "random" => workloads::random_permutation(n, seed),
         "partial" => {
-            let load: f64 = args
-                .flags
-                .get("load")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0.5);
+            let load = args.f64_flag("load").unwrap_or(0.5);
             workloads::random_partial_permutation(n, load, seed)
         }
         "transpose" => workloads::transpose(n),
@@ -273,14 +348,9 @@ fn cmd_steady(args: &Args, algo: Algorithm) {
         cmd_steady_resume(args, algo, path, snap);
         return;
     }
-    let lambda: f64 = args
-        .flags
-        .get("lambda")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| {
-            eprintln!("--lambda must be a number (packets per node per step)");
-            usage()
-        });
+    let lambda = args
+        .f64_flag("lambda")
+        .expect("--lambda selects the steady harness");
     let schedule = SteadyConfig {
         warmup: args.u64_flag("warmup").unwrap_or(128),
         window: args.u64_flag("window").unwrap_or(64),
@@ -333,8 +403,8 @@ fn cmd_steady_resume(
     };
     let schedule = env.config;
     let mut clashes = Vec::new();
-    if let Some(l) = args.flags.get("lambda") {
-        if l.parse::<f64>().ok() != Some(env.lambda) {
+    if let Some(l) = args.f64_flag("lambda") {
+        if l != env.lambda {
             clashes.push(format!("lambda {l} (snapshot: {})", env.lambda));
         }
     }
@@ -378,7 +448,6 @@ fn steady_sim_config(args: &Args, admission: AdmissionPolicy, window: u64) -> Si
     SimConfig {
         admission,
         watchdog: Some(args.u64_flag("watchdog").unwrap_or((2 * window).max(256))),
-        tile_threads: args.u32_flag("tile-threads").unwrap_or(1) as usize,
         checkpoint_every: args.u64_flag("checkpoint-every"),
         ..SimConfig::default()
     }

@@ -57,7 +57,6 @@ pub mod snapshot;
 pub mod stats;
 pub mod steady;
 mod storage;
-mod tiles;
 pub mod view;
 mod watchdog;
 

@@ -77,9 +77,7 @@ pub const STEP_PIPELINE: [Phase; 8] = [
 /// edge decision. [`DeadlineExpiry`](AdmissionPolicy::DeadlineExpiry) goes
 /// one step further and expires stale packets *inside* the network too —
 /// edge-only shedding cannot un-fill internal queues once they gridlock.
-/// The whole seam runs inside the inject phase, which executes on the
-/// coordinator even under tile-sharded execution — every policy is
-/// therefore byte-identical across `--tile-threads` by construction.
+/// The whole seam runs inside the inject phase.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum AdmissionPolicy {
     /// Closed-system default: staged packets wait outside the network
@@ -224,11 +222,8 @@ pub(crate) struct StepBufs {
     /// Scratch for the inject phase's pending-node sweep.
     pub(crate) inject_nodes: Vec<u32>,
     /// Acceptance groups: `(start, end)` ranges into `order`, one per target
-    /// node, in target-node order. Computed by the accept phase; read by the
-    /// tile workers.
+    /// node, in target-node order.
     pub(crate) groups: Vec<(u32, u32)>,
-    /// Staged end-of-step packet-state writes `(packet, new state)`.
-    pub(crate) state_writes: Vec<(PacketId, u64)>,
     /// Bit-packed resident descriptors for mask-capable routers (the fast
     /// path's replacement for `views`).
     pub(crate) masks: Vec<PackedView>,
@@ -268,7 +263,7 @@ pub(crate) struct StepCtx<'a, 't, T: Topology, R: Router> {
 /// packet instead of a 40-byte view struct. The grid's slot index is the
 /// packed slot index by construction (Central: 0; PerInlink: `0..4` =
 /// inlinks, 4 = injection).
-pub(crate) fn build_packed<T: Topology>(
+fn build_packed<T: Topology>(
     topo: &T,
     store: &PacketStore,
     grid: &NodeGrid,
@@ -292,7 +287,7 @@ pub(crate) fn build_packed<T: Topology>(
 
 /// Builds the views of all packets queued at node `ni`, reading straight
 /// from the [`PacketStore`] and [`NodeGrid`] — no intermediate copies.
-pub(crate) fn build_views<T: Topology>(
+fn build_views<T: Topology>(
     topo: &T,
     store: &PacketStore,
     grid: &NodeGrid,
@@ -525,10 +520,9 @@ pub(crate) fn inject<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) ->
 
 /// §2 (a) for a single node: a loaded, unstalled node's outqueue policy
 /// schedules at most one packet per outlink; moves are emitted in
-/// [`ALL_DIRS`] order. Shared verbatim by the sequential route phase and
-/// the tile workers, so both produce identical per-node schedules.
+/// [`ALL_DIRS`] order onto `schedule`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn route_node<T: Topology, R: Router>(
+fn route_node<T: Topology, R: Router>(
     t0: u64,
     topo: &T,
     router: &R,
@@ -540,7 +534,7 @@ pub(crate) fn route_node<T: Topology, R: Router>(
     state: &mut R::NodeState,
     views: &mut Vec<FullView>,
     masks: &mut Vec<PackedView>,
-    emit: &mut impl FnMut(ScheduledMove),
+    schedule: &mut Vec<ScheduledMove>,
 ) {
     if grid.node_load(ni) == 0 {
         return;
@@ -631,7 +625,7 @@ pub(crate) fn route_node<T: Topology, R: Router>(
                     router.name()
                 );
             }
-            emit(ScheduledMove {
+            schedule.push(ScheduledMove {
                 pkt,
                 from: node,
                 to,
@@ -670,7 +664,7 @@ pub(crate) fn route<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) {
             &mut ctx.node_state[ni],
             views,
             masks,
-            &mut |m| schedule.push(m),
+            schedule,
         );
     }
 }
@@ -715,27 +709,22 @@ pub(crate) fn adversary<T: Topology, R: Router, H: StepHook>(
         dirty: &mut ctx.bufs.exchanged,
     };
     hook.on_scheduled(&mut hctx);
-    refresh_masks(ctx.topo, ctx.store, &ctx.bufs.exchanged);
-}
-
-/// Refreshes the cached profitable masks of packets whose destinations the
-/// adversary exchanged. A packet outside the network keeps mask 0 — it is
-/// recomputed at injection anyway.
-pub(crate) fn refresh_masks<T: Topology>(topo: &T, store: &mut PacketStore, dirty: &[PacketId]) {
-    for &pid in dirty {
+    // Refresh the cached profitable masks of exchanged packets. A packet
+    // outside the network keeps mask 0 — it is recomputed at injection.
+    let store = &mut *ctx.store;
+    for &pid in &ctx.bufs.exchanged {
         if let Loc::At(c) = store.loc[pid.index()] {
-            store.mask[pid.index()] = topo.profitable(c, store.dst[pid.index()]).bits();
+            store.mask[pid.index()] = ctx.topo.profitable(c, store.dst[pid.index()]).bits();
         }
     }
 }
 
 /// §2 (c) for one target node: the inqueue policy of the (unstalled)
 /// target of moves `order[start..end]` accepts or rejects each offer;
-/// degraded nodes are clamped to their reduced capacity. Decisions are
-/// emitted as `(schedule index, accepted)`. Shared verbatim by the
-/// sequential accept phase and the tile workers.
+/// degraded nodes are clamped to their reduced capacity. Decisions land in
+/// `accepted`, indexed by schedule position.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn accept_group<T: Topology, R: Router>(
+fn accept_group<T: Topology, R: Router>(
     t0: u64,
     topo: &T,
     router: &R,
@@ -751,7 +740,7 @@ pub(crate) fn accept_group<T: Topology, R: Router>(
     arrivals: &mut Vec<Arrival<FullView>>,
     arr_packed: &mut Vec<PackedArrival>,
     accept: &mut Vec<bool>,
-    emit: &mut impl FnMut(u32, bool),
+    accepted: &mut [bool],
 ) {
     let target = schedule[order[start] as usize].to;
     let ni = grid.node_index(target);
@@ -839,21 +828,20 @@ pub(crate) fn accept_group<T: Topology, R: Router>(
         }
     }
     for (j, gi) in (start..end).enumerate() {
-        emit(order[gi], accept[j]);
+        accepted[order[gi] as usize] = accept[j];
     }
 }
 
 /// Groups the schedule by target node into `bufs.order` and records the
 /// per-target group ranges in `bufs.groups` (ascending target id, stable
 /// in schedule order within a group — provably the same permutation the
-/// old stable sort-by-target produced). Shared by the sequential accept
-/// phase and the tiled step's coordinator.
+/// old stable sort-by-target produced).
 ///
 /// This is a counting group-by over the persistent `counts` arena instead
 /// of a comparison sort: two linear passes over the schedule plus a sort
 /// of the *distinct* targets only (at most one comparison-sorted element
 /// per loaded node instead of one per move).
-pub(crate) fn accept_prep(n: u32, bufs: &mut StepBufs) {
+fn accept_prep(n: u32, bufs: &mut StepBufs) {
     let nn = (n as usize) * (n as usize);
     if bufs.counts.len() < nn {
         bufs.counts.resize(nn, 0);
@@ -946,7 +934,7 @@ pub(crate) fn accept<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) {
             arrivals,
             arr_packed,
             accept,
-            &mut |mi, a| accepted[mi as usize] = a,
+            accepted,
         );
     }
 }
@@ -1021,130 +1009,72 @@ pub(crate) fn transmit<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) 
     }
 }
 
-/// One node's audit result: its total load and its largest bounded-queue
-/// length.
-pub(crate) struct NodeAudit {
-    pub(crate) load: u32,
-    pub(crate) max_bounded: u32,
-}
-
-/// Capacity validation plus occupancy measurement for one node. Shared by
-/// the sequential audit phase and the tile workers; overflow panics here
-/// are router implementation bugs, not runtime conditions.
-pub(crate) fn audit_node<R: Router>(
-    t0: u64,
-    router: &R,
-    validate: bool,
-    grid: &NodeGrid,
-    ni: usize,
-) -> NodeAudit {
-    // The load total comes straight off the arena's load index; only the
-    // occupied slots (occupancy bitmask) are visited for the capacity
-    // check and the bounded maximum. Unbounded (injection) queues count
-    // toward node load but are skipped for max_queue tracking.
-    let load = grid.node_load(ni);
-    let mut max_bounded = 0u32;
-    let lens = grid.queue_lens_of(ni);
-    let mut o = grid.occ_mask(ni);
-    while o != 0 {
-        let slot = o.trailing_zeros() as usize;
-        o &= o - 1;
-        let len = lens[slot];
-        let kind = grid.slot_kind(slot);
-        if let Some(cap) = grid.arch().capacity(kind) {
-            if validate {
-                assert!(
-                    len <= cap,
-                    "{}: queue {kind:?} of node {:?} overflowed ({len} > {cap}) at step {t0}",
-                    router.name(),
-                    grid.coord_of(ni)
-                );
-            }
-            max_bounded = max_bounded.max(len);
-        }
-    }
-    debug_assert_eq!(
-        load,
-        lens.iter().sum::<u32>(),
-        "occupancy index out of sync"
-    );
-    NodeAudit { load, max_bounded }
-}
-
-/// Capacity validation plus occupancy metrics over the active nodes.
+/// Capacity validation plus occupancy metrics over the active nodes;
+/// overflow panics are router implementation bugs, not runtime conditions.
 pub(crate) fn audit<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) {
-    let t0 = ctx.t0;
-    for idx in 0..ctx.grid.active_len() {
-        let ni = ctx.grid.active_at(idx);
-        let a = audit_node(t0, ctx.router, ctx.validate, ctx.grid, ni);
-        ctx.progress.max_queue = ctx.progress.max_queue.max(a.max_bounded);
-        ctx.progress.max_node_load = ctx.progress.max_node_load.max(a.load);
-        ctx.grid.note_peak(ni, a.load as u16);
-    }
-}
-
-/// §2 (e) for one loaded node: runs the router's end-of-step policy and
-/// emits the resulting packet-state rewrites as `(packet, state)` pairs.
-/// A packet resides at exactly one node, so the rewrites of distinct nodes
-/// are disjoint and their application order is immaterial. Shared verbatim
-/// by the sequential update phase and the tile workers.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn update_node<T: Topology, R: Router>(
-    t0: u64,
-    topo: &T,
-    router: &R,
-    store: &PacketStore,
-    grid: &NodeGrid,
-    ni: usize,
-    state: &mut R::NodeState,
-    views: &mut Vec<FullView>,
-    states: &mut Vec<u64>,
-    emit: &mut impl FnMut(PacketId, u64),
-) {
-    if grid.node_load(ni) == 0 {
-        return;
-    }
-    let node = grid.coord_of(ni);
-    build_views(topo, store, grid, ni, node, views);
-    states.clear();
-    states.extend(views.iter().map(|v| v.state));
-    router.end_of_step(t0, node, state, views, states);
-    for (v, s) in views.iter().zip(states.iter()) {
-        emit(v.id, *s);
+    let grid = &mut *ctx.grid;
+    for idx in 0..grid.active_len() {
+        let ni = grid.active_at(idx);
+        // The load total comes straight off the arena's load index; only
+        // the occupied slots (occupancy bitmask) are visited for the
+        // capacity check and the bounded maximum. Unbounded (injection)
+        // queues count toward node load but are skipped for max_queue
+        // tracking.
+        let load = grid.node_load(ni);
+        let lens = grid.queue_lens_of(ni);
+        let mut o = grid.occ_mask(ni);
+        while o != 0 {
+            let slot = o.trailing_zeros() as usize;
+            o &= o - 1;
+            let len = lens[slot];
+            let kind = grid.slot_kind(slot);
+            if let Some(cap) = grid.arch().capacity(kind) {
+                if ctx.validate {
+                    assert!(
+                        len <= cap,
+                        "{}: queue {kind:?} of node {:?} overflowed ({len} > {cap}) at step {}",
+                        ctx.router.name(),
+                        grid.coord_of(ni),
+                        ctx.t0
+                    );
+                }
+                ctx.progress.max_queue = ctx.progress.max_queue.max(len);
+            }
+        }
+        debug_assert_eq!(
+            load,
+            lens.iter().sum::<u32>(),
+            "occupancy index out of sync"
+        );
+        ctx.progress.max_node_load = ctx.progress.max_node_load.max(load);
+        grid.note_peak(ni, load as u16);
     }
 }
 
 /// §2 (e): the end-of-step state update for every loaded active node.
 /// Routers whose `end_of_step` is the inherited no-op declare so via
 /// `uses_end_of_step`, and the whole pass — view building included — is
-/// skipped: every write it would stage is an identity write.
+/// skipped: every write it would make is an identity write. A packet
+/// resides at exactly one node, so writing each node's new states back in
+/// place cannot change what a later node's policy sees.
 pub(crate) fn update_state<T: Topology, R: Router>(ctx: &mut StepCtx<'_, '_, T, R>) {
-    let StepBufs {
-        views,
-        states,
-        state_writes,
-        ..
-    } = &mut *ctx.bufs;
-    state_writes.clear();
     if !ctx.router.uses_end_of_step() {
         return;
     }
+    let StepBufs { views, states, .. } = &mut *ctx.bufs;
     for idx in 0..ctx.grid.active_len() {
         let ni = ctx.grid.active_at(idx);
-        update_node(
-            ctx.t0,
-            ctx.topo,
-            ctx.router,
-            ctx.store,
-            ctx.grid,
-            ni,
-            &mut ctx.node_state[ni],
-            views,
-            states,
-            &mut |p, s| state_writes.push((p, s)),
-        );
-    }
-    for &(p, s) in state_writes.iter() {
-        ctx.store.state[p.index()] = s;
+        if ctx.grid.node_load(ni) == 0 {
+            continue;
+        }
+        let node = ctx.grid.coord_of(ni);
+        build_views(ctx.topo, ctx.store, ctx.grid, ni, node, views);
+        states.clear();
+        states.extend(views.iter().map(|v| v.state));
+        ctx.router
+            .end_of_step(ctx.t0, node, &mut ctx.node_state[ni], views, states);
+        for (v, &s) in views.iter().zip(states.iter()) {
+            ctx.store.state[v.id.index()] = s;
+        }
     }
 }

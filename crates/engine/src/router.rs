@@ -18,15 +18,11 @@ use std::cell::Cell;
 /// within the information the model grants them, so any state so computed is
 /// expressible in the paper's "state update at end of step" formulation.
 ///
-/// Routers are `Sync` (and node states `Send`): the tile-sharded engine
-/// shares one router across its worker threads, each invoking policies on
-/// the node states of its own tiles. Policies already had to be pure
-/// functions of their arguments, so the bound costs implementations nothing
-/// beyond keeping scratch space off `self` (use thread-locals, as
-/// [`Dx`] does).
-pub trait Router: Sync {
+/// Policies take `&self`; an implementation that needs per-call scratch
+/// space keeps it in a `Cell` on `self`, as [`Dx`] does.
+pub trait Router {
     /// Per-node algorithm state (the paper's "state of a node").
-    type NodeState: Clone + Default + Send;
+    type NodeState: Clone + Default;
 
     /// Human-readable algorithm name for reports.
     fn name(&self) -> String;
@@ -141,10 +137,10 @@ pub trait Router: Sync {
 /// exchange-invariance Lemma 10 holds for every implementation by
 /// construction.
 ///
-/// Run a `DxRouter` by wrapping it: `Dx(MyRouter)`.
-pub trait DxRouter: Sync {
+/// Run a `DxRouter` by wrapping it: `Dx::new(MyRouter)`.
+pub trait DxRouter {
     /// Per-node algorithm state.
-    type NodeState: Clone + Default + Send;
+    type NodeState: Clone + Default;
 
     /// Human-readable algorithm name for reports.
     fn name(&self) -> String;
@@ -244,22 +240,22 @@ pub trait DxRouter: Sync {
 /// the restriction is purely in what crosses this boundary.
 pub struct Dx<R> {
     pub inner: R,
-}
-
-// Projection scratch lives per *thread*, not per adapter: the tile-sharded
-// engine shares one `Dx` across workers, and each worker projects views for
-// its own tiles. `Cell` + take/set (instead of `RefCell`) keeps nested
-// adapters reentrant: an inner call simply sees an empty buffer and the
-// outer one wins the put-back.
-thread_local! {
-    static DX_RESIDENTS: Cell<Vec<DxView>> = const { Cell::new(Vec::new()) };
-    static DX_ARRIVALS: Cell<Vec<Arrival<DxView>>> = const { Cell::new(Vec::new()) };
+    // Projection scratch, reused across calls. `Cell` + take/set (instead
+    // of `RefCell`) keeps a policy that re-enters the adapter safe: the
+    // inner call simply sees an empty buffer and the outer one wins the
+    // put-back.
+    residents: Cell<Vec<DxView>>,
+    arrivals: Cell<Vec<Arrival<DxView>>>,
 }
 
 impl<R> Dx<R> {
     /// Wraps a destination-exchangeable router for execution.
     pub fn new(inner: R) -> Dx<R> {
-        Dx { inner }
+        Dx {
+            inner,
+            residents: Cell::default(),
+            arrivals: Cell::default(),
+        }
     }
 }
 
@@ -286,11 +282,11 @@ impl<R: DxRouter> Router for Dx<R> {
         pkts: &[FullView],
         out: &mut [Option<usize>; 4],
     ) {
-        let mut buf = DX_RESIDENTS.take();
+        let mut buf = self.residents.take();
         buf.clear();
         buf.extend(pkts.iter().map(FullView::dx));
         self.inner.outqueue(step, node, state, &buf, out);
-        DX_RESIDENTS.set(buf);
+        self.residents.set(buf);
     }
 
     fn inqueue(
@@ -302,18 +298,18 @@ impl<R: DxRouter> Router for Dx<R> {
         arrivals: &[Arrival<FullView>],
         accept: &mut [bool],
     ) {
-        let mut rbuf = DX_RESIDENTS.take();
+        let mut rbuf = self.residents.take();
         rbuf.clear();
         rbuf.extend(residents.iter().map(FullView::dx));
-        let mut abuf = DX_ARRIVALS.take();
+        let mut abuf = self.arrivals.take();
         abuf.clear();
         abuf.extend(arrivals.iter().map(|a| Arrival {
             view: a.view.dx(),
             travel: a.travel,
         }));
         self.inner.inqueue(step, node, state, &rbuf, &abuf, accept);
-        DX_RESIDENTS.set(rbuf);
-        DX_ARRIVALS.set(abuf);
+        self.residents.set(rbuf);
+        self.arrivals.set(abuf);
     }
 
     fn end_of_step(
@@ -324,16 +320,16 @@ impl<R: DxRouter> Router for Dx<R> {
         residents: &[FullView],
         states: &mut [u64],
     ) {
-        let mut rbuf = DX_RESIDENTS.take();
+        let mut rbuf = self.residents.take();
         rbuf.clear();
         rbuf.extend(residents.iter().map(FullView::dx));
         self.inner.end_of_step(step, node, state, &rbuf, states);
-        DX_RESIDENTS.set(rbuf);
+        self.residents.set(rbuf);
     }
 
     // The packed fast path forwards without any projection: a PackedView is
     // already destination-free, so there is nothing to strip and no
-    // thread-local copy to pay for.
+    // scratch copy to pay for.
 
     fn mask_capable(&self) -> bool {
         self.inner.mask_capable()

@@ -36,21 +36,22 @@ use std::sync::Arc;
 pub struct FaultAware<R> {
     inner: R,
     faults: Arc<CompiledFaults>,
-}
-
-// Masking scratch is per thread, not per wrapper: `Router` is `Sync` so the
-// tile-sharded engine can share one wrapper across workers. Take/set on a
-// `Cell` (rather than `RefCell` borrows) stays reentrant under nesting — an
-// inner wrapper just sees an empty buffer.
-thread_local! {
-    static FA_RESIDENTS: Cell<Vec<FullView>> = const { Cell::new(Vec::new()) };
-    static FA_ARRIVALS: Cell<Vec<Arrival<FullView>>> = const { Cell::new(Vec::new()) };
+    // Masking scratch, reused across calls. Take/set on a `Cell` (rather
+    // than `RefCell` borrows) stays reentrant — a re-entering call just
+    // sees an empty buffer.
+    residents: Cell<Vec<FullView>>,
+    arrivals: Cell<Vec<Arrival<FullView>>>,
 }
 
 impl<R> FaultAware<R> {
     /// Wraps `inner`, masking against `faults`.
     pub fn new(inner: R, faults: Arc<CompiledFaults>) -> FaultAware<R> {
-        FaultAware { inner, faults }
+        FaultAware {
+            inner,
+            faults,
+            residents: Cell::default(),
+            arrivals: Cell::default(),
+        }
     }
 
     /// The wrapped router.
@@ -112,11 +113,11 @@ impl<R: Router> Router for FaultAware<R> {
             return self.inner.outqueue(step, node, state, pkts, out);
         }
         {
-            let mut buf = FA_RESIDENTS.take();
+            let mut buf = self.residents.take();
             buf.clear();
             buf.extend(pkts.iter().map(|&v| self.mask_at(step, node, v)));
             self.inner.outqueue(step, node, state, &buf, out);
-            FA_RESIDENTS.set(buf);
+            self.residents.set(buf);
         }
         // Belt and braces: a nonminimal inner router may still have picked a
         // down link (the mask only edits *profitable* sets). Clear it — the
@@ -142,15 +143,15 @@ impl<R: Router> Router for FaultAware<R> {
                 .inner
                 .inqueue(step, node, state, residents, arrivals, accept);
         }
-        let mut rbuf = FA_RESIDENTS.take();
+        let mut rbuf = self.residents.take();
         rbuf.clear();
         rbuf.extend(residents.iter().map(|&v| self.mask_at(step, node, v)));
-        let mut abuf = FA_ARRIVALS.take();
+        let mut abuf = self.arrivals.take();
         abuf.clear();
         abuf.extend(arrivals.iter().map(|&a| self.mask_arrival(step, node, a)));
         self.inner.inqueue(step, node, state, &rbuf, &abuf, accept);
-        FA_RESIDENTS.set(rbuf);
-        FA_ARRIVALS.set(abuf);
+        self.residents.set(rbuf);
+        self.arrivals.set(abuf);
         // Capacity guard: some acceptance rules assume fault-free progress
         // invariants (e.g. Theorem 15's vertical queues always accept
         // because a vertical packet always departs next step). Faults void
@@ -186,11 +187,11 @@ impl<R: Router> Router for FaultAware<R> {
         if self.faults.is_empty() {
             return self.inner.end_of_step(step, node, state, residents, states);
         }
-        let mut rbuf = FA_RESIDENTS.take();
+        let mut rbuf = self.residents.take();
         rbuf.clear();
         rbuf.extend(residents.iter().map(|&v| self.mask_at(step, node, v)));
         self.inner.end_of_step(step, node, state, &rbuf, states);
-        FA_RESIDENTS.set(rbuf);
+        self.residents.set(rbuf);
     }
 
     /// An empty fault table makes every view method a pure pass-through

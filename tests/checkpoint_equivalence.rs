@@ -138,28 +138,41 @@ where
     Ok(())
 }
 
+/// Engine configs that differ only in execution strategy — the watchdog
+/// and checkpoint cadence are read by the run drivers, never by a step —
+/// so a run may be checkpointed under one and resumed under another.
+fn exec_config(which: usize) -> SimConfig {
+    match which {
+        0 => SimConfig::default(),
+        1 => SimConfig {
+            watchdog: Some(64),
+            ..SimConfig::default()
+        },
+        _ => SimConfig {
+            checkpoint_every: Some(7),
+            ..SimConfig::default()
+        },
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Tentpole property, fault-free: for arbitrary workloads, routers,
     /// checkpoint cadences, and kill steps, a resumed run is
     /// bit-identical — including when the resumed run uses a different
-    /// tile-thread count than the original (execution strategy is not
-    /// simulated state).
+    /// execution-strategy config than the original (see `exec_config`).
     #[test]
     fn resumed_runs_are_bit_identical_fault_free(
         pb in workload(12),
         cadence in 1u64..24,
         kill_at in 0u64..200,
         router in 0usize..3,
-        threads in 0usize..3,
+        exec in 0usize..3,
     ) {
         prop_assume!(!pb.is_empty());
         let topo = Mesh::new(pb.n);
-        let resume_config = SimConfig {
-            tile_threads: [1usize, 2, 4][threads],
-            ..SimConfig::default()
-        };
+        let resume_config = exec_config(exec);
         match router {
             0 => check_raw_resume(&topo, || Dx::new(DimOrder::new(2)), &pb, None,
                 SimConfig::default(), resume_config, cadence, kill_at)?,
@@ -170,7 +183,8 @@ proptest! {
         }
     }
 
-    /// Tentpole property, faults active and the original run tiled: the
+    /// Tentpole property, faults active and the original run under a
+    /// different execution-strategy config than the resume: the
     /// checkpoint must carry fault-dependent state (losses, stalls,
     /// deferred injections) and the fingerprint must accept the
     /// re-supplied plan.
@@ -181,17 +195,14 @@ proptest! {
         kill_at in 0u64..300,
         rate_permille in 0u64..=150,
         fault_seed in 0u64..10_000,
-        threads in 0usize..3,
+        exec in 0usize..3,
     ) {
         prop_assume!(!pb.is_empty());
         let n = 10u32;
         let topo = Mesh::new(n);
         let rate = rate_permille as f64 / 1000.0;
         let faults = Arc::new(FaultPlan::random(n, rate, 6 * n as u64, fault_seed).compile());
-        let run_config = SimConfig {
-            tile_threads: [1usize, 2, 4][threads],
-            ..SimConfig::default()
-        };
+        let run_config = exec_config(exec);
         check_raw_resume(
             &topo,
             || FaultAware::new(Dx::new(Theorem15::new(2)), Arc::clone(&faults)),

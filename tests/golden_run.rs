@@ -10,11 +10,6 @@
 //! enforcement, acceptance, or protocol timing fails loudly instead of
 //! silently shifting recorded experiment tables.
 //!
-//! Each scenario is also **replayed under tile-sharded execution**
-//! (`tile_threads` ∈ {2, 4, 8} and an explicit 4×4 tile geometry) and must
-//! reproduce the committed fixture byte-for-byte: parallel execution is an
-//! execution strategy, never a semantics change.
-//!
 //! Regenerate the fixtures (only when a behavior change is *intended*):
 //!
 //! ```sh
@@ -51,9 +46,11 @@ fn fixture_path(name: &str) -> PathBuf {
         .join(format!("golden_{name}.json"))
 }
 
-fn check(doc: GoldenDoc) {
-    let path = fixture_path(&doc.scenario);
-    let rendered = serde_json::to_string_pretty(&doc).expect("serialize golden doc") + "\n";
+/// Asserts `doc` renders byte-identically to the `scenario` fixture (or
+/// records it under `GOLDEN_RECORD`).
+fn check(scenario: &str, doc: &impl Serialize) {
+    let path = fixture_path(scenario);
+    let rendered = serde_json::to_string_pretty(doc).expect("serialize golden doc") + "\n";
     if std::env::var_os("GOLDEN_RECORD").is_some() {
         std::fs::create_dir_all(path.parent().unwrap()).expect("create fixtures dir");
         std::fs::write(&path, &rendered).expect("write fixture");
@@ -67,55 +64,9 @@ fn check(doc: GoldenDoc) {
     });
     assert_eq!(
         rendered, recorded,
-        "scenario '{}' diverged from its golden fixture — the engine's \
-         observable behavior changed",
-        doc.scenario
+        "scenario '{scenario}' diverged from its golden fixture — the engine's \
+         observable behavior changed"
     );
-}
-
-/// The tiled execution configs every scenario must replay under,
-/// byte-identically: band tilings at 2/4/8 worker threads plus an explicit
-/// square geometry.
-fn tiled_configs() -> [SimConfig; 4] {
-    let base = SimConfig::default();
-    [
-        SimConfig {
-            tile_threads: 2,
-            ..base
-        },
-        SimConfig {
-            tile_threads: 4,
-            ..base
-        },
-        SimConfig {
-            tile_threads: 8,
-            ..base
-        },
-        SimConfig {
-            tile_threads: 4,
-            tiles: Some((4, 4)),
-            ..base
-        },
-    ]
-}
-
-/// Runs `build` sequentially to check (or record) the fixture, then
-/// replays it under every tiled config, requiring the same bytes the
-/// fixture holds.
-fn check_sequential_and_tiled(build: impl Fn(SimConfig) -> GoldenDoc) {
-    check(build(SimConfig::default()));
-    for config in tiled_configs() {
-        let doc = build(config);
-        let path = fixture_path(&doc.scenario);
-        let rendered = serde_json::to_string_pretty(&doc).expect("serialize golden doc") + "\n";
-        let recorded = std::fs::read_to_string(&path).expect("fixture exists after check()");
-        assert_eq!(
-            rendered, recorded,
-            "scenario '{}' under tile_threads={} tiles={:?} diverged from \
-             the sequential fixture — tiled execution is not bit-identical",
-            doc.scenario, config.tile_threads, config.tiles
-        );
-    }
 }
 
 fn ids(pids: &[PacketId]) -> Vec<u32> {
@@ -135,10 +86,10 @@ struct GoldenSteadyDoc {
 /// An overloaded open-system soak on 16×16: Bernoulli injection past the
 /// saturation point under deadline expiry, measured in four windows. The
 /// frozen record pins the whole overload layer — admission accounting,
-/// window framing, latency percentiles — and must replay byte-identically
-/// under every tiled config. Dim-order's bounded central queue makes the
-/// injection edge back-pressure (Theorem 15's per-inlink model has an
-/// unbounded injection queue, which admission control never touches).
+/// window framing, latency percentiles. Dim-order's bounded central queue
+/// makes the injection edge back-pressure (Theorem 15's per-inlink model
+/// has an unbounded injection queue, which admission control never
+/// touches).
 #[test]
 fn golden_steady16() {
     let schedule = SteadyConfig {
@@ -146,57 +97,25 @@ fn golden_steady16() {
         window: 64,
         windows: 4,
     };
-    let build = |config: SimConfig| {
-        let n = 16;
-        let topo = Mesh::new(n);
-        let pb = workloads::open_bernoulli(n, 0.35, schedule.horizon(), 2024);
-        let config = SimConfig {
-            admission: AdmissionPolicy::DeadlineExpiry { ttl: 48 },
-            watchdog: Some(256),
-            ..config
-        };
-        let mut sim = Sim::with_config(&topo, Dx::new(DimOrder::new(4)), &pb, config);
-        let steady = sim
-            .run_steady(schedule)
-            .expect("an overloaded-but-shedding soak must stay live");
-        GoldenSteadyDoc {
-            scenario: "steady16".into(),
-            steady,
-            report: sim.report(),
-        }
+    let n = 16;
+    let topo = Mesh::new(n);
+    let pb = workloads::open_bernoulli(n, 0.35, schedule.horizon(), 2024);
+    let config = SimConfig {
+        admission: AdmissionPolicy::DeadlineExpiry { ttl: 48 },
+        watchdog: Some(256),
+        ..SimConfig::default()
     };
-
-    let doc = build(SimConfig::default());
+    let mut sim = Sim::with_config(&topo, Dx::new(DimOrder::new(4)), &pb, config);
+    let steady = sim
+        .run_steady(schedule)
+        .expect("an overloaded-but-shedding soak must stay live");
+    let doc = GoldenSteadyDoc {
+        scenario: "steady16".into(),
+        steady,
+        report: sim.report(),
+    };
     assert!(doc.report.expired > 0, "0.35 > saturation must expire");
-    let path = fixture_path(&doc.scenario);
-    let rendered = serde_json::to_string_pretty(&doc).expect("serialize golden doc") + "\n";
-    if std::env::var_os("GOLDEN_RECORD").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).expect("create fixtures dir");
-        std::fs::write(&path, &rendered).expect("write fixture");
-    } else {
-        let recorded = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!(
-                "missing fixture {} ({e}); record with GOLDEN_RECORD=1",
-                path.display()
-            )
-        });
-        assert_eq!(
-            rendered, recorded,
-            "scenario 'steady16' diverged from its golden fixture — the \
-             overload layer's observable behavior changed"
-        );
-    }
-    for config in tiled_configs() {
-        let tiled = build(config);
-        let replay = serde_json::to_string_pretty(&tiled).expect("serialize golden doc") + "\n";
-        let recorded = std::fs::read_to_string(&path).expect("fixture exists after check");
-        assert_eq!(
-            replay, recorded,
-            "scenario 'steady16' under tile_threads={} tiles={:?} diverged — \
-             tiled execution is not bit-identical",
-            config.tile_threads, config.tiles
-        );
-    }
+    check(&doc.scenario, &doc);
 }
 
 /// Steps `sim` manually up to `cap` steps, recording every step that
@@ -223,54 +142,49 @@ fn step_and_record<T: Topology, R: Router>(
 
 #[test]
 fn golden_partial_permutation() {
-    check_sequential_and_tiled(|config| {
-        let topo = Mesh::new(16);
-        let pb = workloads::random_partial_permutation(16, 0.5, 2024);
-        let mut sim = Sim::with_config(&topo, Dx::new(Theorem15::new(2)), &pb, config);
-        let (outcome, events) = step_and_record(&mut sim, 5_000);
-        GoldenDoc {
-            scenario: "partial_perm".into(),
-            outcome,
-            report: sim.report(),
-            events,
-        }
-    });
+    let topo = Mesh::new(16);
+    let pb = workloads::random_partial_permutation(16, 0.5, 2024);
+    let mut sim = Sim::new(&topo, Dx::new(Theorem15::new(2)), &pb);
+    let (outcome, events) = step_and_record(&mut sim, 5_000);
+    let doc = GoldenDoc {
+        scenario: "partial_perm".into(),
+        outcome,
+        report: sim.report(),
+        events,
+    };
+    check(&doc.scenario, &doc);
 }
 
 #[test]
 fn golden_transpose() {
-    check_sequential_and_tiled(|config| {
-        let topo = Mesh::new(16);
-        let pb = workloads::transpose(16);
-        let mut sim = Sim::with_config(&topo, Dx::new(Theorem15::new(2)), &pb, config);
-        let (outcome, events) = step_and_record(&mut sim, 5_000);
-        GoldenDoc {
-            scenario: "transpose".into(),
-            outcome,
-            report: sim.report(),
-            events,
-        }
-    });
+    let topo = Mesh::new(16);
+    let pb = workloads::transpose(16);
+    let mut sim = Sim::new(&topo, Dx::new(Theorem15::new(2)), &pb);
+    let (outcome, events) = step_and_record(&mut sim, 5_000);
+    let doc = GoldenDoc {
+        scenario: "transpose".into(),
+        outcome,
+        report: sim.report(),
+        events,
+    };
+    check(&doc.scenario, &doc);
 }
 
-/// A dense workload on a larger mesh: a full random permutation on 64×64,
-/// so traffic crosses every tile boundary of every geometry the replays
-/// use.
+/// A dense workload on a larger mesh: a full random permutation on 64×64.
 #[test]
 fn golden_dense64() {
-    check_sequential_and_tiled(|config| {
-        let n = 64;
-        let topo = Mesh::new(n);
-        let pb = workloads::random_permutation(n, 2024);
-        let mut sim = Sim::with_config(&topo, Dx::new(Theorem15::new(2)), &pb, config);
-        let (outcome, events) = step_and_record(&mut sim, 20_000);
-        GoldenDoc {
-            scenario: "dense64".into(),
-            outcome,
-            report: sim.report(),
-            events,
-        }
-    });
+    let n = 64;
+    let topo = Mesh::new(n);
+    let pb = workloads::random_permutation(n, 2024);
+    let mut sim = Sim::new(&topo, Dx::new(Theorem15::new(2)), &pb);
+    let (outcome, events) = step_and_record(&mut sim, 20_000);
+    let doc = GoldenDoc {
+        scenario: "dense64".into(),
+        outcome,
+        report: sim.report(),
+        events,
+    };
+    check(&doc.scenario, &doc);
 }
 
 /// The faulty scenario mirrors a chaos-soak cell: seeded random faults, a
@@ -278,30 +192,29 @@ fn golden_dense64() {
 /// verdict) is part of the frozen record.
 #[test]
 fn golden_faulty() {
-    check_sequential_and_tiled(|config| {
-        let n = 16;
-        let topo = Mesh::new(n);
-        let pb = workloads::random_partial_permutation(n, 0.5, 2024);
-        let faults = Arc::new(FaultPlan::random(n, 0.15, 8 * n as u64, 4045).compile());
-        let config = SimConfig {
-            watchdog: Some(8 * n as u64),
-            ..config
-        };
-        let mut sim = Sim::with_faults(
-            &topo,
-            FaultAware::new(Dx::new(DimOrder::new(4)), Arc::clone(&faults)),
-            &pb,
-            config,
-            faults.as_ref().clone(),
-        );
-        let (outcome, events) = step_and_record(&mut sim, 5_000);
-        GoldenDoc {
-            scenario: "faulty".into(),
-            outcome,
-            report: sim.report(),
-            events,
-        }
-    });
+    let n = 16;
+    let topo = Mesh::new(n);
+    let pb = workloads::random_partial_permutation(n, 0.5, 2024);
+    let faults = Arc::new(FaultPlan::random(n, 0.15, 8 * n as u64, 4045).compile());
+    let config = SimConfig {
+        watchdog: Some(8 * n as u64),
+        ..SimConfig::default()
+    };
+    let mut sim = Sim::with_faults(
+        &topo,
+        FaultAware::new(Dx::new(DimOrder::new(4)), Arc::clone(&faults)),
+        &pb,
+        config,
+        faults.as_ref().clone(),
+    );
+    let (outcome, events) = step_and_record(&mut sim, 5_000);
+    let doc = GoldenDoc {
+        scenario: "faulty".into(),
+        outcome,
+        report: sim.report(),
+        events,
+    };
+    check(&doc.scenario, &doc);
 }
 
 /// A [`ProtocolHook`] adapter recording each step's events before
@@ -333,38 +246,37 @@ impl<P: ProtocolHook> ProtocolHook for Recording<'_, P> {
 /// payload, driven through `run_with_protocol`.
 #[test]
 fn golden_reliable() {
-    check_sequential_and_tiled(|config| {
-        let n = 16;
-        let topo = Mesh::new(n);
-        let pb = workloads::dynamic_bernoulli(n, 0.02, 4 * n as u64, 2024);
-        let faults = Arc::new(FaultPlan::random_outages(n, 0.12, 8 * n as u64, 40).compile());
-        let config = SimConfig {
-            watchdog: Some(1024),
-            ..config
-        };
-        let mut sim = Sim::with_faults(
-            &topo,
-            FaultAware::new(Dx::new(Theorem15::new(2)), Arc::clone(&faults)),
-            &pb,
-            config,
-            faults.as_ref().clone(),
-        );
-        let mut transport = Transport::new(&pb, BackoffPolicy::exponential(64, 512, 16), 7);
-        let mut recorder = Recording {
-            inner: &mut transport,
-            events: Vec::new(),
-        };
-        let res = sim.run_with_protocol(200_000, &mut recorder);
-        let outcome = match &res {
-            Ok(_) => "completed".to_string(),
-            Err(err) => err.kind().to_string(),
-        };
-        let events = recorder.events;
-        GoldenDoc {
-            scenario: "reliable".into(),
-            outcome,
-            report: sim.report(),
-            events,
-        }
-    });
+    let n = 16;
+    let topo = Mesh::new(n);
+    let pb = workloads::dynamic_bernoulli(n, 0.02, 4 * n as u64, 2024);
+    let faults = Arc::new(FaultPlan::random_outages(n, 0.12, 8 * n as u64, 40).compile());
+    let config = SimConfig {
+        watchdog: Some(1024),
+        ..SimConfig::default()
+    };
+    let mut sim = Sim::with_faults(
+        &topo,
+        FaultAware::new(Dx::new(Theorem15::new(2)), Arc::clone(&faults)),
+        &pb,
+        config,
+        faults.as_ref().clone(),
+    );
+    let mut transport = Transport::new(&pb, BackoffPolicy::exponential(64, 512, 16), 7);
+    let mut recorder = Recording {
+        inner: &mut transport,
+        events: Vec::new(),
+    };
+    let res = sim.run_with_protocol(200_000, &mut recorder);
+    let outcome = match &res {
+        Ok(_) => "completed".to_string(),
+        Err(err) => err.kind().to_string(),
+    };
+    let events = recorder.events;
+    let doc = GoldenDoc {
+        scenario: "reliable".into(),
+        outcome,
+        report: sim.report(),
+        events,
+    };
+    check(&doc.scenario, &doc);
 }

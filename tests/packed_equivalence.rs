@@ -11,8 +11,7 @@
 //! Coverage axes: all three mask-capable routers × random workloads
 //! (static partial permutations and dynamic Bernoulli) × every admission
 //! policy × random fault plans (stalls, link faults, queue degradation —
-//! exercising the engine-side acceptance clamp shared by both paths) ×
-//! tile geometries and thread counts.
+//! exercising the engine-side acceptance clamp shared by both paths).
 
 use mesh_routing::engine::{Arrival, DxView, QueueArch};
 use mesh_routing::prelude::*;
@@ -121,19 +120,6 @@ fn admission() -> impl Strategy<Value = AdmissionPolicy> {
     })
 }
 
-/// Tile geometry × worker threads (sequential included).
-fn tile_config(n: u32) -> impl Strategy<Value = (Option<(u32, u32)>, usize)> {
-    (0u32..4, 1u32..=n, 1u32..=n, 0usize..4).prop_map(move |(which, tx, ty, ti)| {
-        let geometry = match which {
-            0 => None,
-            1 => Some((1, 1)),
-            2 => Some((n, n)),
-            _ => Some((tx, ty)),
-        };
-        (geometry, [1usize, 2, 4, 8][ti])
-    })
-}
-
 /// Steps the fast (packed) and oracle (view) sims in lockstep, checking
 /// after every step that the observable state is identical.
 fn assert_lockstep_identical<T: Topology, RA: Router, RB: Router>(
@@ -173,19 +159,15 @@ fn assert_lockstep_identical<T: Topology, RA: Router, RB: Router>(
 }
 
 /// Builds the fast/oracle pair for a fault-free problem under an admission
-/// policy and tile configuration, and runs the lockstep comparison.
+/// policy, and runs the lockstep comparison.
 fn check_fault_free<R: DxRouter>(
     pb: &RoutingProblem,
     mk: impl Fn() -> R,
     adm: AdmissionPolicy,
-    tiles: Option<(u32, u32)>,
-    threads: usize,
 ) -> Result<(), TestCaseError> {
     let topo = Mesh::new(pb.n);
     let config = SimConfig {
         admission: adm,
-        tile_threads: threads,
-        tiles,
         ..SimConfig::default()
     };
     let mut fast = Sim::with_config(&topo, Dx::new(mk()), pb, config);
@@ -198,21 +180,19 @@ proptest! {
 
     /// Property 1: every mask-capable router is decision-identical through
     /// its packed and view policies, for arbitrary workloads, admission
-    /// policies, tile geometries, and thread counts.
+    /// policies, and queue capacities.
     #[test]
     fn packed_path_is_bit_identical_fault_free(
         pb in workload(16),
         adm in admission(),
-        tc in tile_config(16),
         k in 1u32..4,
         router in 0usize..3,
     ) {
         prop_assume!(!pb.is_empty());
-        let (tiles, threads) = tc;
         match router {
-            0 => check_fault_free(&pb, || DimOrder::new(k), adm, tiles, threads)?,
-            1 => check_fault_free(&pb, || Theorem15::new(k), adm, tiles, threads)?,
-            _ => check_fault_free(&pb, || WestFirst::new(k), adm, tiles, threads)?,
+            0 => check_fault_free(&pb, || DimOrder::new(k), adm)?,
+            1 => check_fault_free(&pb, || Theorem15::new(k), adm)?,
+            _ => check_fault_free(&pb, || WestFirst::new(k), adm)?,
         }
     }
 
@@ -233,14 +213,12 @@ proptest! {
     fn packed_path_is_bit_identical_under_faults(
         pb in partial_permutation(12),
         adm in admission(),
-        tc in tile_config(12),
         k in 1u32..4,
         rate_permille in 0u64..=200,
         fault_seed in 0u64..10_000,
         router in 0usize..2,
     ) {
         prop_assume!(!pb.is_empty());
-        let (tiles, threads) = tc;
         let n = 12u32;
         let topo = Mesh::new(n);
         let rate = rate_permille as f64 / 1000.0;
@@ -248,8 +226,6 @@ proptest! {
         let config = SimConfig {
             watchdog: Some(8 * n as u64),
             admission: adm,
-            tile_threads: threads,
-            tiles,
             ..SimConfig::default()
         };
         macro_rules! pair_check {

@@ -3,7 +3,7 @@
 //! destination-exchangeable routers (Lemma 10), tiling coverage (Lemma 19),
 //! quadrant/geometry algebra, and the open-system overload seam
 //! (per-step packet conservation and queue caps under any offered load,
-//! admission policy, and tile geometry; overload watchdog liveness).
+//! and admission policy; overload watchdog liveness).
 
 use mesh_routing::prelude::*;
 use mesh_routing::Section6Router;
@@ -423,13 +423,12 @@ proptest! {
         seed in 0u64..10_000,
         k in 1u32..4,
         arch_sel in 0u8..2,
-        tile_sel in 0u8..4,
     ) {
         // The overload seam's accounting identity — injected == delivered +
         // in-flight + shed + expired + lost — and the §2 queue-capacity
         // contract must hold after *every* step, for any offered load
-        // (including far past saturation), any admission policy, and any
-        // tile geometry, not just at quiescence.
+        // (including far past saturation) and any admission policy, not
+        // just at quiescence.
         let n = 6;
         let rate = rate_permille as f64 / 1000.0;
         let pb = workloads::open_bernoulli(n, rate, 6 * n as u64, seed);
@@ -441,16 +440,8 @@ proptest! {
             2 => AdmissionPolicy::DropOldestDeferred { max_deferred },
             _ => AdmissionPolicy::DeadlineExpiry { ttl },
         };
-        let (tile_threads, tiles) = match tile_sel {
-            0 => (1, None),
-            1 => (2, None),
-            2 => (1, Some((2, 2))),
-            _ => (4, Some((3, 2))),
-        };
         let config = SimConfig {
             admission,
-            tile_threads,
-            tiles,
             ..SimConfig::default()
         };
         macro_rules! check {
